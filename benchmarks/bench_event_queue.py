@@ -2,12 +2,14 @@
 
 The fabric benches measure the queue through six layers of network
 machinery; these measure the scheduler itself — steady-state push/pop
-throughput, cancel-heavy churn (the retransmission-timer pattern that
-motivated lazy deletion + amortized compaction), and a mixed-horizon
-workload where nanosecond wire events interleave with millisecond
-timeout timers (the regime the calendar's adaptive refill has to get
-right).  Results merge into ``results/BENCH_engine.json`` under
-``event_queue`` for CI trend lines and the EXPERIMENTS.md perf tables.
+throughput, same-timestamp fan-out (many events per distinct time, the
+regime of the 1024-node SHANDY bisection, where the calendar's one
+FIFO per timestamp pays off), cancel-heavy churn (the
+retransmission-timer pattern that motivated lazy deletion + amortized
+compaction), a mixed-horizon workload where nanosecond wire events
+interleave with millisecond timeout timers, and a depth-1 chain.
+Results merge into ``results/BENCH_engine.json`` under ``event_queue``
+for CI trend lines and the EXPERIMENTS.md perf tables.
 """
 
 import time
@@ -52,6 +54,27 @@ def _bulk_push_pop(kind: str, n: int) -> float:
     return total / (time.perf_counter() - t0)
 
 
+def _fan_out(kind: str, n: int) -> float:
+    """Events/s when ties dominate: 2,048 lanes on 64 phase offsets, each
+    re-arming a fixed 64 ns later, so every pending timestamp holds 32
+    events and the queue stays 2,048 deep (SHANDY averages ~32 events
+    per distinct timestamp)."""
+    sim = Simulator(queue=kind)
+    fuel = [n]
+
+    def fire(lane):
+        if fuel[0] > 0:
+            fuel[0] -= 1
+            sim.schedule(64.0, fire, lane)
+
+    for lane in range(2_048):
+        sim.schedule(float(lane % 64), fire, lane)
+    t0 = time.perf_counter()
+    sim.run()
+    total = n + 2_048
+    return total / (time.perf_counter() - t0)
+
+
 def _cancel_churn(kind: str, n: int) -> float:
     """Timer ops/s for the re-arm pattern: every event cancels a pending
     far-future timer and arms a replacement (what retransmission timers
@@ -82,8 +105,8 @@ def _cancel_churn(kind: str, n: int) -> float:
 
 
 def _mixed_horizon(kind: str, n: int) -> float:
-    """Events/s when 1-ns-scale wire events interleave with ms timers —
-    the span the calendar's adaptive refill width has to absorb."""
+    """Events/s when 1-ns-scale wire events interleave with ms timers:
+    few events per timestamp, with far-future timers always pending."""
     sim = Simulator(queue=kind)
     fuel = [n]
 
@@ -104,6 +127,7 @@ def _mixed_horizon(kind: str, n: int) -> float:
 _SCENARIOS = (
     ("self-clocked chain", _self_clocked, 150_000),
     ("bulk push/pop (deep queue)", _bulk_push_pop, 150_000),
+    ("same-timestamp fan-out", _fan_out, 150_000),
     ("cancel-heavy churn", _cancel_churn, 100_000),
     ("mixed horizon (ns + ms)", _mixed_horizon, 150_000),
 )

@@ -167,6 +167,19 @@ class FabricConfig:
     gc_policy: Optional[str] = None
     seed: int = 0
 
+    def __post_init__(self):
+        # Checked here, not in the run: a negative latency or overhead
+        # schedules events before ``now`` and a zero bandwidth divides
+        # by zero deep inside the event loop.  ``not x > 0`` rejects NaN.
+        for name in ("nic_bandwidth", "switch_buffer_bytes"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("switch_latency", "ack_overhead", "header_bytes"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} cannot be negative, got {value!r}")
+
     def build(self, sim: Optional[Simulator] = None) -> "Fabric":
         return Fabric(self, sim)
 

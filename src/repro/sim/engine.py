@@ -10,29 +10,33 @@ runs event-for-event.
 
 Two queue implementations share that total order bit-for-bit:
 
-* ``queue="calendar"`` (default) — a two-level calendar/ladder queue.  A
-  sorted *near* list holds every entry below a moving time ``horizon``;
-  everything later lands unsorted in a *far* overflow list.  Enqueues into
-  the near window are a ``bisect.insort`` that in steady state touches only
-  the tail (network events are scheduled a link delay ahead of ``now``),
-  and dequeue is an O(1) ``list.pop()``.  When the near list drains, a
-  *refill* carves the earliest time slice out of the far list (adaptive
-  width, targeting a few hundred entries per slice) and Timsort puts it in
-  order.  Entries are stored key-negated as ``(-time, -seq, fn, args)`` so
-  the minimum ``(time, seq)`` sits at the *end* of the ascending near list;
-  float negation is bit-exact, so dispatch order is identical to the heap.
-* ``queue="heap"`` — the original binary heap (``heapq``), retained as the
-  reference implementation and pinned against the calendar queue by an
-  event-for-event ``EventTrace`` equivalence suite.
+* ``queue="calendar"`` (default) — a time-bucketed queue.  A dict maps
+  each pending timestamp to one FIFO list of ``(fn, args)`` entries in
+  push order, and a ``heapq`` holds the distinct pending timestamps.  A
+  push appends to its timestamp's list, or opens the list and
+  heap-pushes the timestamp, so a tie costs O(1) and only a new
+  timestamp pays O(log T) in the number T of distinct pending times —
+  not in the number of events in flight.  The run loop pops a time and
+  walks that list with a plain ``for``; a handler that pushes at ``now``
+  appends to the list being walked, so the same pass dispatches it.
+  ``now`` is set per dispatched entry, so a timestamp whose entries were
+  all cancelled leaves the clock where it was, as with the heap.
+  Push order within one timestamp *is* ``seq`` order, so dispatch is
+  exactly ``(time, seq)`` order, identical to the heap, as long as no
+  entry is pushed before ``now`` (the :meth:`Simulator.push` contract).
+* ``queue="heap"`` — the original binary heap of ``(time, seq, fn,
+  args)``, retained as the reference implementation and pinned against
+  the calendar queue by an event-for-event ``EventTrace`` equivalence
+  suite.
 
 Cancellable timers use *lazy deletion*: :meth:`Simulator.schedule_cancellable`
 returns a :class:`TimerHandle` whose O(1) :meth:`~TimerHandle.cancel` blanks
 the handler; the run loop discards blanked entries without dispatching them
 (they do not count as processed events).  When dead entries ever make up
 more than half the queue it is compacted in one O(n) pass (in place — the
-run loops hold direct references to the queue lists), so the queue stays
-proportional to the number of *live* timers no matter how often producers
-re-arm.
+run loops hold direct references to the queue containers), so the queue
+stays proportional to the number of *live* timers no matter how often
+producers re-arm.
 
 Time is measured in **nanoseconds** (floats), sizes in **bytes**, and
 bandwidths in **bytes per nanosecond** (so 200 Gb/s == 25 B/ns).  These
@@ -66,9 +70,9 @@ from __future__ import annotations
 
 import contextlib
 import gc as _gc
-import heapq
 import time
-from bisect import insort
+from heapq import heapify, heappop, heappush
+from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -85,11 +89,6 @@ __all__ = [
 #: repeated ``now + rto`` style arithmetic can land an attoseconds-stale
 #: deadline.  ``schedule_at`` clamps these to "now" instead of raising.
 _NEGATIVE_DRIFT_NS = 1e-6
-
-#: Calendar refill aims for about this many entries per near-window slice.
-#: Big enough that refill bookkeeping amortizes to noise, small enough
-#: that insorts into the near list stay short-memmove cheap.
-_REFILL_TARGET = 512
 
 #: Guarded run loop: events dispatched between wall-clock deadline checks.
 #: A tripped deadline is detected at most this many events late; the
@@ -259,14 +258,10 @@ class TimerHandle:
         self.args = ()
         sim = self.sim
         sim._dead += 1
+        sim._cancelled += 1
         # Amortized queue hygiene: rebuild once dead entries dominate.
-        if sim._dead > 64:
-            if sim._heapmode:
-                qlen = len(sim._queue)
-            else:
-                qlen = len(sim._near) + len(sim._far)
-            if sim._dead * 2 > qlen:
-                sim._compact()
+        if sim._dead > 64 and sim._dead * 2 > sim.queue_length:
+            sim._compact()
 
 
 class Event:
@@ -362,8 +357,9 @@ class Simulator:
     ['b', 'a']
 
     ``queue`` selects the event-queue implementation: ``"calendar"``
-    (default, amortized O(1) enqueue/dequeue) or ``"heap"`` (the binary
-    heap reference).  Both dispatch in bit-identical order.
+    (default, time-bucketed: O(1) per tie, O(log T) per new timestamp)
+    or ``"heap"`` (the binary heap reference).  Both dispatch in
+    bit-identical order.
     """
 
     # Slotted: sim.now and the queue containers are the most-read
@@ -372,14 +368,14 @@ class Simulator:
     __slots__ = (
         "now",
         "_queue",
-        "_near",
-        "_far",
-        "_horizon",
+        "_buckets",
+        "_times",
         "_heapmode",
         "_seq",
         "_events_processed",
         "_stopped",
         "_dead",
+        "_cancelled",
         "last_run_events",
         "last_run_wall_s",
         "event_hook",
@@ -396,22 +392,23 @@ class Simulator:
         self._heapmode: bool = queue == "heap"
         #: heap mode only: plain heapq of (time, seq, fn, args)
         self._queue: Optional[list] = [] if self._heapmode else None
-        #: calendar mode only: ascending-sorted list of negated-key
-        #: entries (-time, -seq, fn, args); the minimum (time, seq) event
-        #: is at the END and pop() is O(1).  Mutated strictly in place —
-        #: run loops hold direct references.
-        self._near: Optional[list] = None if self._heapmode else []
-        #: calendar mode only: unsorted overflow for entries at or past
-        #: the horizon; sliced into _near by _refill()
-        self._far: Optional[list] = None if self._heapmode else []
-        #: calendar mode only: entries strictly below this time belong in
-        #: _near.  Monotonically non-decreasing across refills.
-        self._horizon: float = 0.0
+        #: calendar mode only: pending time -> FIFO list of (fn, args)
+        #: in push order.  The list being dispatched stays in the dict
+        #: until it is exhausted, so pushes at ``now`` join it.
+        self._buckets: Optional[Dict[float, list]] = (
+            None if self._heapmode else {}
+        )
+        #: calendar mode only: heapq of the distinct times in _buckets,
+        #: minus the one being dispatched.  Both containers are mutated
+        #: strictly in place — run loops hold direct references.
+        self._times: Optional[List[float]] = None if self._heapmode else []
         self._seq: int = 0
         self._events_processed: int = 0
         self._stopped = False
         #: cancelled-but-unpopped queue entries (lazy deletion bookkeeping)
         self._dead: int = 0
+        #: every cancel() ever; cancelled - dead = entries already dropped
+        self._cancelled: int = 0
         # event-loop diagnostics for the telemetry scraper: how the last
         # run() call performed in *wall-clock* terms (pure observation;
         # never feeds back into simulated behaviour)
@@ -482,19 +479,25 @@ class Simulator:
     def push(self, t: float, fn: Callable, args: tuple = ()) -> None:
         """Enqueue ``fn(*args)`` at absolute time *t* — the producer API.
 
-        The stable hot-path contract (v2): *t* must already be validated
-        (``t >= now`` up to float drift) and *args* must be a tuple.  No
-        guards run here; :meth:`schedule` / :meth:`schedule_at` are the
-        checked front doors.  Exactly one sequence number is consumed per
-        call, in call order, for either queue kind.
+        The stable hot-path contract (v2): *t* must satisfy ``t >= now``
+        and *args* must be a tuple.  No guards run here; :meth:`schedule`
+        / :meth:`schedule_at` are the checked front doors (they clamp
+        sub-ns float drift to ``now``).  An entry pushed before ``now``
+        would be dispatched after the rest of the current timestamp by
+        the calendar queue but before it by the heap.  Exactly one
+        sequence number is consumed per call, in call order, for either
+        queue kind.
         """
         seq = self._seq = self._seq + 1
         if self._heapmode:
-            heapq.heappush(self._queue, (t, seq, fn, args))
-        elif t < self._horizon:
-            insort(self._near, (-t, -seq, fn, args))
+            heappush(self._queue, (t, seq, fn, args))
+            return
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [(fn, args)]
+            heappush(self._times, t)
         else:
-            self._far.append((-t, -seq, fn, args))
+            bucket.append((fn, args))
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* ns of simulated time."""
@@ -560,101 +563,60 @@ class Simulator:
         return handle
 
     def _compact(self) -> None:
-        """Drop cancelled entries in place (keys unchanged, so live event
-        ordering is preserved exactly).
+        """Drop cancelled entries in place (live entries keep their order).
 
         In place matters: the run loops bind the queue containers to
-        locals, so rebuilding into a *new* list would strand events pushed
-        after a mid-run compaction (a cancel inside a dispatched handler
-        can get here while run() is on the stack).
+        locals, so rebuilding into a *new* container would strand events
+        pushed after a mid-run compaction (a cancel inside a dispatched
+        handler can get here while run() is on the stack).  For the same
+        reason the calendar's bucket at ``now`` is left alone: mid-run it
+        is the list the loop is walking.
         """
         if self._heapmode:
             self._queue[:] = [
                 e for e in self._queue if e[2] is not None or e[3].fn is not None
             ]
-            heapq.heapify(self._queue)
+            heapify(self._queue)
+            self._dead = 0
+            return
+        buckets = self._buckets
+        current = buckets.get(self.now)
+        removed = 0
+        for t, bucket in list(buckets.items()):
+            if bucket is current:
+                continue
+            if len(bucket) == 1:  # the common case: no list copy
+                fn, args = bucket[0]
+                if fn is None and args.fn is None:
+                    del buckets[t]
+                    removed += 1
+                continue
+            live = [e for e in bucket if e[0] is not None or e[1].fn is not None]
+            removed += len(bucket) - len(live)
+            if live:
+                buckets[t] = live
+            else:
+                del buckets[t]
+        times = self._times
+        times[:] = [t for t in times if t in buckets]
+        heapify(times)
+        self._dead -= removed
+
+    def _requeue(self, t: float, bucket: list, it, keep: int) -> None:
+        """Return the undispatched rest of the bucket at *t* to the queue.
+
+        Called when a run leaves mid-bucket (StopSimulation, a watchdog
+        trip, a handler exception).  *it* is the loop's iterator over
+        *bucket*; its length hint is the count of entries it has not
+        yielded yet.  *keep* = 1 also keeps the entry last yielded (a
+        guard tripped before dispatching it), so a later run() resumes
+        exactly here.
+        """
+        del bucket[: len(bucket) - length_hint(it) - keep]
+        if bucket:
+            heappush(self._times, t)
         else:
-            # Filtering preserves ascending order in _near; _far is
-            # unsorted anyway.  The horizon does not move.
-            self._near[:] = [
-                e for e in self._near if e[2] is not None or e[3].fn is not None
-            ]
-            self._far[:] = [
-                e for e in self._far if e[2] is not None or e[3].fn is not None
-            ]
-        self._dead = 0
-
-    def _refill(self) -> bool:
-        """Carve the earliest time slice of ``_far`` into ``_near``.
-
-        Called only with ``_near`` empty; returns False when ``_far`` is
-        empty too (queue drained).  On True, ``_near`` is non-empty,
-        ascending-sorted, and every entry left in ``_far`` is strictly
-        after (in ``(time, seq)`` order) every entry moved to ``_near`` —
-        the cross-list invariant the run loops rely on.
-
-        The slice width adapts to the event-time density: it aims for
-        about ``_REFILL_TARGET`` entries per slice so near-list insorts
-        stay cheap even when a workload's horizon spans retransmission
-        timeouts (milliseconds) and wire events (nanoseconds) at once.
-        """
-        far = self._far
-        if not far:
-            return False
-        near = self._near
-        n = len(far)
-        # Entries are key-negated: max(far) is the earliest (time, seq),
-        # min(far) the latest.
-        if n <= _REFILL_TARGET:
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = -near[0][0]  # max time taken
-            return True
-        tmin = -max(far)[0]
-        tmax = -min(far)[0]
-        span = tmax - tmin
-        if span <= 0.0:
-            # every entry at one timestamp — take them all
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = tmin
-            return True
-        horizon = tmin + span * _REFILL_TARGET / n
-        if horizon <= tmin:  # width underflowed to zero ulps
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = tmax
-            return True
-        nh = -horizon
-        batch = [e for e in far if e[0] > nh]
-        if not batch or len(batch) == n:
-            # float-boundary degeneracy — fall back to taking everything
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = tmax
-            return True
-        far[:] = [e for e in far if e[0] <= nh]
-        batch.sort()
-        near.extend(batch)
-        self._horizon = horizon
-        return True
-
-    def _next_time(self) -> Optional[float]:
-        """Timestamp of the next live-or-dead entry (None if drained).
-
-        May trigger a calendar refill; never dispatches.
-        """
-        if self._heapmode:
-            q = self._queue
-            return q[0][0] if q else None
-        near = self._near
-        if not near and not self._refill():
-            return None
-        return -near[-1][0]
+            del self._buckets[t]
 
     def watchdog(
         self,
@@ -728,37 +690,37 @@ class Simulator:
 
     def _run_dispatch(self, until: Optional[float]) -> None:
         """Route to the loop variant for this queue kind / hook / guard."""
+        if not self._heapmode:
+            if self._watchdog is None and self.event_hook is None:
+                return self._run_calendar(until)
+            return self._run_calendar_instrumented(until)
         if self._watchdog is not None:
-            if self._heapmode:
-                return self._run_guarded_heap(until)
-            return self._run_guarded_calendar(until)
+            return self._run_guarded_heap(until)
         if self.event_hook is not None:
-            if self._heapmode:
-                return self._run_hooked_heap(until)
-            return self._run_hooked_calendar(until)
-        if self._heapmode:
-            return self._run_heap(until)
-        return self._run_calendar(until)
+            return self._run_hooked_heap(until)
+        return self._run_heap(until)
 
     def _run_calendar(self, until: Optional[float]) -> None:
         """Default hot loop (calendar queue, no hook, no watchdog)."""
         self._stopped = False
         wall_start = time.perf_counter()
         events_before = self._events_processed
-        # Hot loop: the near list and its pop as locals (_refill extends
-        # it strictly in place, so the bindings stay valid), the `until`
-        # test hoisted into a dedicated loop, and a dispatch-free fast
-        # skip for cancelled timers.  Two counters stay on `self` because
-        # handlers observe them mid-run.
-        near = self._near
-        pop = near.pop
-        refill = self._refill
+        # Hot loop: the queue containers as locals (mutated strictly in
+        # place, so the bindings stay valid), `until` tested once per
+        # timestamp, and a dispatch-free fast skip for cancelled timers.
+        # The event counter stays on `self` because handlers observe it
+        # mid-run (queue_length is derived from it).
+        buckets = self._buckets
+        times = self._times
         try:
-            if until is None:
-                while True:
-                    if not near and not refill():
-                        break
-                    nt, _nseq, fn, args = pop()
+            while times:
+                t = heappop(times)
+                if until is not None and t > until:
+                    heappush(times, t)
+                    break
+                bucket = buckets[t]
+                it = iter(bucket)
+                for fn, args in it:
                     if fn is None:  # cancellable entry: args is the handle
                         handle = args
                         fn = handle.fn
@@ -770,16 +732,57 @@ class Simulator:
                         # no-op instead of corrupting _dead accounting.
                         handle.fn = None
                         handle.args = ()
-                    self.now = -nt
+                    self.now = t
                     self._events_processed += 1
                     fn(*args)
-            else:
-                while True:
-                    if not near and not refill():
-                        break
-                    if -near[-1][0] > until:
-                        break
-                    nt, _nseq, fn, args = pop()
+                del buckets[t]
+        except StopSimulation:
+            self._stopped = True
+            self._requeue(t, bucket, it, 0)
+        except BaseException:
+            self._requeue(t, bucket, it, 0)
+            raise
+        self.last_run_wall_s = time.perf_counter() - wall_start
+        self.last_run_events = self._events_processed - events_before
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
+
+    def _run_calendar_instrumented(self, until: Optional[float]) -> None:
+        """Calendar loop taken when an event hook or a watchdog is set.
+
+        Dispatch order, timestamps, and event accounting are identical to
+        the hot loop; the hook sees each event before it runs, and the
+        guards only *bound* how far the run gets.  A tripping guard keeps
+        the undispatched entry at the head of its bucket (a later run()
+        with the watchdog disarmed or widened resumes exactly there) and
+        raises :class:`SimStall`.  The wall-clock deadline is checked once
+        every ``_WALL_STRIDE`` events, not per event — a syscall per
+        dispatch is exactly the overhead the guard exists to avoid.
+        """
+        max_events, max_time, wall_s = self._watchdog or (None, None, None)
+        event_budget = (
+            self._events_processed + max_events if max_events is not None else None
+        )
+        perf = time.perf_counter
+        wall_deadline = perf() + wall_s if wall_s is not None else None
+        self._stopped = False
+        wall_start = perf()
+        events_before = self._events_processed
+        buckets = self._buckets
+        times = self._times
+        hook = self.event_hook
+        wall_countdown = _WALL_STRIDE
+        keep = 0  # 1 once a guard trips: the current entry stays queued
+        try:
+            while times:
+                t = heappop(times)
+                if until is not None and t > until:
+                    heappush(times, t)
+                    break
+                bucket = buckets[t]
+                it = iter(bucket)
+                for fn, args in it:
+                    handle = None
                     if fn is None:
                         handle = args
                         fn = handle.fn
@@ -787,15 +790,41 @@ class Simulator:
                             self._dead -= 1
                             continue
                         args = handle.args
+                    if max_time is not None and t > max_time:
+                        keep = 1
+                        self._stall(f"sim time exceeded {max_time:.0f}ns", t)
+                    if event_budget is not None and self._events_processed >= event_budget:
+                        keep = 1
+                        self._stall(f"event budget of {max_events} exhausted", t)
+                    if wall_deadline is not None:
+                        wall_countdown -= 1
+                        if wall_countdown <= 0:
+                            wall_countdown = _WALL_STRIDE
+                            if perf() > wall_deadline:
+                                keep = 1
+                                self._stall(
+                                    f"wall-clock deadline of {wall_s}s exceeded", t
+                                )
+                    if handle is not None:
+                        # the entry survives the guards: blank the handle
+                        # so a late cancel() stays a no-op
                         handle.fn = None
                         handle.args = ()
-                    self.now = -nt
+                    self.now = t
                     self._events_processed += 1
+                    if hook is not None:
+                        hook(t, fn, args)
                     fn(*args)
+                del buckets[t]
         except StopSimulation:
             self._stopped = True
-        self.last_run_wall_s = time.perf_counter() - wall_start
-        self.last_run_events = self._events_processed - events_before
+            self._requeue(t, bucket, it, 0)
+        except BaseException:
+            self._requeue(t, bucket, it, keep)
+            raise
+        finally:
+            self.last_run_wall_s = perf() - wall_start
+            self.last_run_events = self._events_processed - events_before
         if until is not None and not self._stopped and self.now < until:
             self.now = until
 
@@ -805,7 +834,7 @@ class Simulator:
         wall_start = time.perf_counter()
         events_before = self._events_processed
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         try:
             if until is None:
                 while queue:
@@ -846,49 +875,13 @@ class Simulator:
         if until is not None and not self._stopped and self.now < until:
             self.now = until
 
-    def _run_hooked_calendar(self, until: Optional[float]) -> None:
-        """Hooked loop (calendar): identical dispatch, hook sees each event."""
-        self._stopped = False
-        wall_start = time.perf_counter()
-        events_before = self._events_processed
-        near = self._near
-        refill = self._refill
-        hook = self.event_hook
-        try:
-            while True:
-                if not near and not refill():
-                    break
-                if until is not None and -near[-1][0] > until:
-                    break
-                nt, _nseq, fn, args = near.pop()
-                if fn is None:
-                    handle = args
-                    fn = handle.fn
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    args = handle.args
-                    handle.fn = None
-                    handle.args = ()
-                t = -nt
-                self.now = t
-                self._events_processed += 1
-                hook(t, fn, args)
-                fn(*args)
-        except StopSimulation:
-            self._stopped = True
-        self.last_run_wall_s = time.perf_counter() - wall_start
-        self.last_run_events = self._events_processed - events_before
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
     def _run_hooked_heap(self, until: Optional[float]) -> None:
         """Hooked loop (heap reference)."""
         self._stopped = False
         wall_start = time.perf_counter()
         events_before = self._events_processed
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         hook = self.event_hook
         try:
             while queue:
@@ -915,8 +908,12 @@ class Simulator:
         if until is not None and not self._stopped and self.now < until:
             self.now = until
 
-    def _stall(self, reason: str) -> None:
-        """Raise :class:`SimStall` with queue context + fabric diagnostics."""
+    def _stall(self, reason: str, next_event_ns: float) -> None:
+        """Raise :class:`SimStall` with queue context + fabric diagnostics.
+
+        *next_event_ns* is the time of the entry the tripped guard held
+        back, which is the next entry a resumed run dispatches.
+        """
         diag = None
         if self.stall_diagnostics is not None:
             try:
@@ -929,77 +926,9 @@ class Simulator:
             events_processed=self._events_processed,
             queue_length=self.queue_length,
             live_queue_length=self.live_queue_length,
-            next_event_ns=self._next_time(),
+            next_event_ns=next_event_ns,
             diagnostics=diag,
         )
-
-    def _run_guarded_calendar(self, until: Optional[float]) -> None:
-        """Guarded loop (calendar).  See :meth:`_run_guarded_heap`.
-
-        A tripping guard pushes the undispatched entry back by appending
-        to the near list — the entry was just popped from the end, so the
-        list stays sorted and a later run() resumes exactly here.
-        """
-        max_events, max_time, wall_s = self._watchdog
-        event_budget = (
-            self._events_processed + max_events if max_events is not None else None
-        )
-        perf = time.perf_counter
-        wall_deadline = perf() + wall_s if wall_s is not None else None
-        self._stopped = False
-        wall_start = perf()
-        events_before = self._events_processed
-        near = self._near
-        refill = self._refill
-        hook = self.event_hook
-        wall_countdown = _WALL_STRIDE
-        try:
-            while True:
-                if not near and not refill():
-                    break
-                if until is not None and -near[-1][0] > until:
-                    break
-                entry = near.pop()
-                t = -entry[0]
-                fn = entry[2]
-                args = entry[3]
-                if fn is None:
-                    handle = args
-                    fn = handle.fn
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    args = handle.args
-                if max_time is not None and t > max_time:
-                    near.append(entry)
-                    self._stall(f"sim time exceeded {max_time:.0f}ns")
-                if event_budget is not None and self._events_processed >= event_budget:
-                    near.append(entry)
-                    self._stall(f"event budget of {max_events} exhausted")
-                if wall_deadline is not None:
-                    wall_countdown -= 1
-                    if wall_countdown <= 0:
-                        wall_countdown = _WALL_STRIDE
-                        if perf() > wall_deadline:
-                            near.append(entry)
-                            self._stall(f"wall-clock deadline of {wall_s}s exceeded")
-                if entry[2] is None:
-                    # cancellable entry survives dispatch: blank it now so a
-                    # late cancel() stays a no-op (mirrors the hot loop).
-                    handle.fn = None
-                    handle.args = ()
-                self.now = t
-                self._events_processed += 1
-                if hook is not None:
-                    hook(t, fn, args)
-                fn(*args)
-        except StopSimulation:
-            self._stopped = True
-        finally:
-            self.last_run_wall_s = perf() - wall_start
-            self.last_run_events = self._events_processed - events_before
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
 
     def _run_guarded_heap(self, until: Optional[float]) -> None:
         """:meth:`run` variant taken when a watchdog is armed (heap).
@@ -1025,8 +954,8 @@ class Simulator:
         wall_start = perf()
         events_before = self._events_processed
         queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
+        pop = heappop
+        push = heappush
         hook = self.event_hook
         wall_countdown = _WALL_STRIDE
         try:
@@ -1044,17 +973,17 @@ class Simulator:
                     args = handle.args
                 if max_time is not None and t > max_time:
                     push(queue, entry)
-                    self._stall(f"sim time exceeded {max_time:.0f}ns")
+                    self._stall(f"sim time exceeded {max_time:.0f}ns", t)
                 if event_budget is not None and self._events_processed >= event_budget:
                     push(queue, entry)
-                    self._stall(f"event budget of {max_events} exhausted")
+                    self._stall(f"event budget of {max_events} exhausted", t)
                 if wall_deadline is not None:
                     wall_countdown -= 1
                     if wall_countdown <= 0:
                         wall_countdown = _WALL_STRIDE
                         if perf() > wall_deadline:
                             push(queue, entry)
-                            self._stall(f"wall-clock deadline of {wall_s}s exceeded")
+                            self._stall(f"wall-clock deadline of {wall_s}s exceeded", t)
                 if entry[2] is None:
                     handle.fn = None
                     handle.args = ()
@@ -1081,10 +1010,12 @@ class Simulator:
 
     @property
     def queue_length(self) -> int:
-        """Pending queue entries, *including* cancelled-but-unpopped ones."""
-        if self._heapmode:
-            return len(self._queue)
-        return len(self._near) + len(self._far)
+        """Pending queue entries, *including* cancelled-but-unpopped ones.
+
+        O(1) and exact mid-run: every push is eventually either dispatched
+        or dropped as cancelled (skipped by the run loop or compacted).
+        """
+        return self._seq - self._events_processed - self._cancelled + self._dead
 
     @property
     def live_queue_length(self) -> int:

@@ -1,35 +1,35 @@
 """Property: calendar queue == heap queue, event for event.
 
-The calendar/ladder queue (``Simulator(queue="calendar")``, the default)
-stores key-negated entries in a sorted near window plus an unsorted far
-overflow and refills adaptively; the binary heap (``queue="heap"``) is
-the retained reference.  None of that may be *observable*: across random
-operation interleavings (schedule / schedule_at / schedule_abs /
-cancellable timers / cancel / re-arm, same-tick ties, negative-drift
-clamps, horizon/bucket-resize boundaries) and across whole-fabric runs
-(healthy and faulted), the dispatched event stream must be identical —
-same times, same order, same event accounting.  The fabric comparison
-reuses the determinism differ's :class:`~repro.validate.differ.EventTrace`
-so any divergence reports the exact first event where the two queue
-implementations disagreed.
+The calendar queue (``Simulator(queue="calendar")``, the default) keeps
+one FIFO list per pending timestamp plus a heap of the distinct times;
+the binary heap (``queue="heap"``) is the retained reference.  None of
+that may be *observable*: across random operation interleavings
+(schedule / schedule_at / schedule_abs / cancellable timers / cancel /
+re-arm, same-tick ties, negative-drift clamps), across the bucket
+regimes (one huge timestamp, one entry per timestamp, pushes at ``now``
+mid-bucket, stops, watchdog trips and compaction mid-bucket) and across
+whole-fabric runs (healthy and faulted), the dispatched event stream
+must be identical — same times, same order, same event accounting.  The
+fabric comparison reuses the determinism differ's
+:class:`~repro.validate.differ.EventTrace` so any divergence reports the
+exact first event where the two queue implementations disagreed.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
-from repro.sim import Simulator
-from repro.sim.engine import _REFILL_TARGET
+from repro.sim import SimStall, Simulator
 from repro.systems import slingshot_config
 from repro.validate.differ import EventTrace
 
 # Delay palette chosen to force every interesting queue regime: exact
-# ties (0.0 and repeated values), sub-ns fractions, values on both sides
-# of any refill horizon, and far-future outliers that stretch the refill
-# span so the adaptive width partitions rather than takes everything.
+# ties (0.0 and repeated values, which share a bucket), sub-ns fractions,
+# and far-future outliers that keep many distinct timestamps pending.
 _DELAYS = (
     0.0,
     0.0,
@@ -118,8 +118,8 @@ def test_random_interleavings_dispatch_identically(ops, budget):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_run_until_stepping_dispatches_identically(seed):
-    """Repeated run(until=...) slices must agree too (the calendar peeks
-    across refills at the until boundary)."""
+    """Repeated run(until=...) slices must agree too (the calendar puts
+    the first timestamp past the boundary back on its heap)."""
 
     def stepped(sim):
         rng = random.Random(seed)
@@ -143,27 +143,199 @@ def test_run_until_stepping_dispatches_identically(seed):
     )
 
 
-def test_refill_boundary_regimes():
-    """Force each refill path: take-all, one-timestamp span, and the
-    adaptive partition with more than _REFILL_TARGET far entries."""
-    for n, times in (
-        # > _REFILL_TARGET entries over a wide span -> partitioned refill
-        (3 * _REFILL_TARGET, lambda i: float(i % 97) * 1_000.0),
-        # everything at one timestamp -> span == 0 take-all
-        (2 * _REFILL_TARGET, lambda i: 42.0),
-        # tiny far list -> plain take-all
-        (17, lambda i: float(i)),
-    ):
-        logs = []
-        for kind in ("calendar", "heap"):
-            sim = Simulator(queue=kind)
-            log = []
-            for i in range(n):
-                sim.schedule(times(i), log.append, (times(i), i))
+def _probe(sim, log, tag):
+    """Handler body shared by the bucket regimes: record the clock, the
+    tag and both queue counters as a handler sees them mid-bucket."""
+    log.append((sim.now, tag, sim.queue_length, sim.live_queue_length))
+
+
+def _one_timestamp(sim, log):
+    for i in range(2_000):
+        sim.schedule(42.0, _probe, sim, log, i)
+    sim.run()
+
+
+def _one_per_timestamp(sim, log):
+    for i in range(2_000):
+        sim.schedule(float(2_000 - i) * 1.5, _probe, sim, log, i)
+    sim.run()
+
+
+def _pushes_at_now(sim, log):
+    def fire(tag):
+        _probe(sim, log, tag)
+        if tag < 200:
+            sim.schedule(0.0, fire, tag * 2 + 1)  # joins the live bucket
+            sim.schedule_at(sim.now, fire, tag * 2 + 2)
+            sim.schedule(3.0, _probe, sim, log, -tag)
+
+    for i in range(5):
+        sim.schedule(10.0, fire, i)
+    sim.run()
+
+
+def _cancelled_tail(sim, log):
+    """Timestamps whose entries were all cancelled do not move the clock:
+    ``now`` ends at the last *dispatched* event, as with the heap."""
+    for i in range(4):
+        sim.schedule(float(i), _probe, sim, log, i)
+    for t in (2.5, 9.0, 9.0, 12.0):
+        sim.schedule_cancellable(t, _probe, sim, log, "dead").cancel()
+    sim.run()
+    log.append(("end", sim.now))
+
+
+def _stop_then_resume(sim, log):
+    def fire(tag):
+        _probe(sim, log, tag)
+        if tag == 3:
+            sim.schedule(0.0, _probe, sim, log, "pushed-by-stopper")
+            sim.stop()
+
+    for i in range(8):
+        sim.schedule(5.0, fire, i)
+    sim.schedule(9.0, fire, 99)
+    sim.run()
+    log.append(("stopped", sim.now, sim.queue_length, sim.live_queue_length))
+    sim.run()
+
+
+def _raise_then_resume(sim, log):
+    """A handler exception mid-bucket consumes only the raising entry."""
+
+    def fire(tag):
+        _probe(sim, log, tag)
+        if tag == 2:
+            raise KeyError(tag)
+
+    for i in range(6):
+        sim.schedule(5.0, fire, i)
+    with pytest.raises(KeyError):
+        sim.run()
+    log.append(("raised", sim.now, sim.queue_length, sim.live_queue_length))
+    sim.run()
+
+
+def _trip_then_resume(arm):
+    """A watchdog trips inside a bucket; disarming and re-running must
+    dispatch the held-back entry and the rest of the bucket."""
+
+    def scenario(sim, log):
+        handles = [
+            sim.schedule_cancellable(100.0, _probe, sim, log, f"dead{i}")
+            for i in range(3)
+        ]
+        for i in range(600):
+            sim.schedule(100.0, _probe, sim, log, i)
+        for h in handles:
+            h.cancel()  # leading dead entries: a time trip lands mid-bucket
+        sim.schedule(1.0, _probe, sim, log, "early")
+        arm(sim)
+        with pytest.raises(SimStall) as exc:
             sim.run()
-            assert sim.events_processed == n
-            logs.append(log)
-        assert logs[0] == logs[1]
+        stall = exc.value
+        log.append(
+            (
+                "stall",
+                stall.reason,
+                stall.next_event_ns,
+                stall.queue_length,
+                stall.live_queue_length,
+                stall.events_processed,
+                sim.now,
+            )
+        )
+        sim.watchdog()
+        sim.run()
+
+    return scenario
+
+
+def _compaction_mid_bucket(sim, log):
+    """A cancel storm inside a handler compacts the queue while the
+    bucket at ``now`` is being dispatched.  Heap compaction also drops
+    the dead entries at ``now``; the calendar must leave that bucket
+    alone, so only the live count is compared between the two."""
+    fired = []
+
+    def storm():
+        handles = [
+            sim.schedule_cancellable(float(k % 3) * 50.0, fired.append, "never")
+            for k in range(300)
+        ]
+        for h in handles:
+            h.cancel()
+        assert sim.queue_length < 300  # compaction ran
+
+    def fire(tag):
+        log.append((sim.now, tag, sim.live_queue_length))
+        if tag == 2:
+            storm()
+            sim.schedule(0.0, fire, "after-storm")
+
+    for i in range(6):
+        sim.schedule(7.0, fire, i)
+    sim.schedule(60.0, fire, "later")
+    sim.run()
+    assert fired == []
+    log.append(("drained", sim.queue_length, sim.live_queue_length))
+
+
+def _rearm_while_queued(sim, log):
+    """The scraper / time-series pattern: a sampler re-arms while
+    ``queue_length > 0``.  It must stop once only its own entry is left,
+    so the counter may not include entries already dispatched."""
+
+    def sample():
+        _probe(sim, log, "sample")
+        if sim.queue_length > 0:
+            sim.schedule(4.0, sample)
+
+    for i in range(40):
+        sim.schedule(float(i // 8), _probe, sim, log, i)
+    sim.schedule(0.0, sample)
+    sim.watchdog(max_events=10_000)  # a regression fails, never hangs
+    sim.run()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _one_timestamp,
+        _one_per_timestamp,
+        _pushes_at_now,
+        _cancelled_tail,
+        _stop_then_resume,
+        _raise_then_resume,
+        _trip_then_resume(lambda sim: sim.watchdog(max_events=300)),
+        _trip_then_resume(lambda sim: sim.watchdog(max_sim_time_ns=50.0)),
+        _trip_then_resume(lambda sim: sim.watchdog(wall_deadline_s=1e-9)),
+        _compaction_mid_bucket,
+        _rearm_while_queued,
+    ],
+    ids=[
+        "one-timestamp",
+        "one-per-timestamp",
+        "pushes-at-now",
+        "cancelled-tail",
+        "stop-then-resume",
+        "raise-then-resume",
+        "budget-trip",
+        "sim-time-trip",
+        "wall-trip",
+        "compaction-mid-bucket",
+        "rearm-while-queued",
+    ],
+)
+def test_bucket_regimes_match_heap(scenario):
+    logs = []
+    for kind in ("calendar", "heap"):
+        sim = Simulator(queue=kind)
+        log = []
+        scenario(sim, log)
+        assert sim.queue_length == 0 and sim.live_queue_length == 0, kind
+        logs.append((log, sim.events_processed, sim.now))
+    assert logs[0] == logs[1]
 
 
 def test_queue_kind_property_and_validation():

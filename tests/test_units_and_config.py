@@ -44,6 +44,32 @@ def test_linkspec_validation():
         LinkSpec(1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nic_bandwidth", -1.0),  # used to run, ending at a negative now
+        ("nic_bandwidth", 0.0),  # used to raise ZeroDivisionError mid-run
+        ("switch_latency", -5.0),  # used to run and "deliver"
+        ("ack_overhead", -50.0),  # used to run and "deliver"
+        ("switch_buffer_bytes", 0),
+        ("header_bytes", -1),
+    ],
+)
+def test_fabricconfig_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        FabricConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        FabricConfig().with_(**{field: value})
+
+
+def test_fabricconfig_accepts_zero_latency_and_overheads():
+    cfg = FabricConfig(switch_latency=0.0, ack_overhead=0.0, header_bytes=0)
+    fabric = cfg.build()
+    msg = fabric.send(0, 5, 4096)
+    fabric.sim.run()
+    assert msg.complete
+
+
 def test_fabricconfig_with_creates_modified_copy():
     cfg = FabricConfig()
     cfg2 = cfg.with_(switch_latency=123.0)

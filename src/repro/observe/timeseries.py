@@ -300,7 +300,7 @@ class TimeSeriesEngine:
         self._open_t0 = 0.0
         self._open_snap: Dict[str, float] = {}
         self._open_levels: Dict[str, LevelAgg] = {}
-        self._cumulative: Dict[str, bool] = {}  # name -> classification
+        self._read_plan: Tuple[List, List] = ([], [])  # see _plan()
 
     # -- control --------------------------------------------------------------
 
@@ -310,6 +310,7 @@ class TimeSeriesEngine:
             self._armed = True
             self._started = True
             self._open_t0 = self.sim.now
+            # every metric's baseline (the read plan is built at first use)
             self._open_snap = self.registry.snapshot()
             self._open_levels = {}
             self._ticks_in_window = 0
@@ -327,37 +328,37 @@ class TimeSeriesEngine:
             return
         self._armed = False
         if self.sim.now > self._open_t0:
-            self._observe_levels(self.registry.snapshot())
+            self._sample_levels()
             self._close_window(self.sim.now)
 
     # -- internals -------------------------------------------------------------
 
-    def _is_cumulative(self, name: str) -> bool:
-        c = self._cumulative.get(name)
-        if c is None:
-            kind = self.registry.get(name).kind
-            c = kind in ("counter", "histogram") or name.endswith(self._suffixes)
-            self._cumulative[name] = c
-        return c
+    def _plan(self) -> Tuple[List, List]:
+        """Name-sorted ``(name, read)`` pairs of cumulative metrics and of
+        level gauges, classified once; rebuilt when the registry grows."""
+        reg, plan = self.registry, self._read_plan
+        if len(reg) != len(plan[0]) + len(plan[1]):
+            self._read_plan = plan = ([], [])
+            for name in reg.names():
+                m = reg.get(name)
+                cum = m.kind != "gauge" or name.endswith(self._suffixes)
+                plan[0 if cum else 1].append((name, m.read))
+        return plan
 
-    def _observe_levels(self, snap: Dict[str, float]) -> None:
+    def _sample_levels(self) -> None:
         levels = self._open_levels
-        for name, value in snap.items():
-            if self._is_cumulative(name):
-                continue
+        for name, read in self._plan()[1]:
             agg = levels.get(name)
             if agg is None:
                 agg = levels[name] = LevelAgg()
-            agg.observe(value)
+            agg.observe(read())
 
     def _close_window(self, t1: float) -> None:
-        snap = self.registry.snapshot()
-        open_snap = self._open_snap
-        deltas = {
-            name: value - open_snap.get(name, 0.0)
-            for name, value in snap.items()
-            if self._is_cumulative(name)
-        }
+        # one read per cumulative metric: this window's ends are the next
+        # one's baselines (a metric registered mid-window starts at 0.0)
+        snap = {name: read() for name, read in self._plan()[0]}
+        base = self._open_snap
+        deltas = {name: v - base.get(name, 0.0) for name, v in snap.items()}
         self.windows.append(
             TimeWindow(self._open_t0, t1, deltas, self._open_levels)
         )
@@ -369,7 +370,7 @@ class TimeSeriesEngine:
     def _tick(self) -> None:
         if not self._armed:
             return
-        self._observe_levels(self.registry.snapshot())
+        self._sample_levels()
         self._ticks_in_window += 1
         if self._ticks_in_window >= self.samples_per_window:
             self._close_window(self.sim.now)

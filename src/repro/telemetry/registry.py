@@ -224,6 +224,7 @@ class TelemetryRegistry:
 
     def __init__(self):
         self._metrics: Dict[str, object] = {}
+        self._sorted: Optional[List[str]] = None  # name order, cached
 
     # -- registration --------------------------------------------------------
 
@@ -237,6 +238,7 @@ class TelemetryRegistry:
             return m
         m = factory()
         self._metrics[name] = m
+        self._sorted = None
         return m
 
     def counter(self, name: str) -> Counter:
@@ -266,7 +268,9 @@ class TelemetryRegistry:
         return self._metrics[name]
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        if self._sorted is None:
+            self._sorted = sorted(self._metrics)
+        return list(self._sorted)
 
     def subtree(self, prefix: str) -> Dict[str, object]:
         """All metrics whose name equals *prefix* or starts with it + '.'."""
@@ -278,10 +282,5 @@ class TelemetryRegistry:
         }
 
     def snapshot(self) -> Dict[str, float]:
-        """Scalar view of every metric (gauge callables evaluated now)."""
-        return {n: self._metrics[n].read() for n in sorted(self._metrics)}
-
-    def histograms(self) -> Dict[str, Histogram]:
-        return {
-            n: m for n, m in self._metrics.items() if m.kind == "histogram"
-        }
+        """Scalar view of every metric in name order (gauges evaluated now)."""
+        return {n: self._metrics[n].read() for n in self.names()}

@@ -64,10 +64,8 @@ class SpanRecorder:
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
-        rec = {"t": t, "pid": pid, "layer": layer, "ev": ev}
-        if attrs:
-            rec.update(attrs)
-        self.events.append(rec)
+        self.events.append(
+            {"t": t, "pid": pid, "layer": layer, "ev": ev, **attrs})
 
     # -- queries --------------------------------------------------------------
 

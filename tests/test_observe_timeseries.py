@@ -7,12 +7,15 @@ view whether its cells ran serially or across a process pool, and
 whatever shape the merge tree takes.
 """
 
+import hashlib
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultSchedule
 from repro.network.units import KiB
 from repro.observe import (
     LevelAgg,
@@ -245,3 +248,96 @@ def test_parallel_cells_merge_to_the_serial_result():
     total = sum(w.deltas.get("fabric.messages_completed", 0.0)
                 for w in merged_lr)
     assert total == 60.0
+
+
+# -- golden window digests ----------------------------------------------------
+#
+# The engine's read schedule (which metrics it reads, when, and how
+# often) is an implementation detail; the windows it produces are not.
+# These digests pin every window of a seeded, faulted cell bit for bit:
+# bounds, every delta in dict order, and each level's count, total,
+# extremes and raw samples.  They were recorded with the engine that
+# snapshotted the whole registry on every tick, and must not move.
+
+#: wall-clock derived, so legitimately different on every run
+_WALL_GAUGE = "sim.events_per_wall_s"
+
+
+def _window_digest(windows) -> str:
+    h = hashlib.sha256()
+    for w in windows:
+        h.update(repr((w.t0, w.t1)).encode())
+        for name, v in w.deltas.items():
+            h.update(f"d {name} {v!r}\n".encode())
+        for name, agg in w.levels.items():
+            if name == _WALL_GAUGE:
+                continue
+            sketch = agg.sketch.counts if agg.sketch is not None else None
+            h.update(repr((name, agg.n, agg.total, agg.vmin, agg.vmax,
+                           agg.samples, sketch)).encode())
+    return h.hexdigest()[:16]
+
+
+def _faulted_cell(samples_per_window, late_metrics=False):
+    fabric = malbec_mini(seed=3).build()
+    fabric.attach_faults(FaultSchedule.generate(
+        fabric, seed=3, n_faults=3, t_start=5_000.0, t_end=120_000.0,
+        switch_faults=1,
+    ), base_rto_ns=50_000.0)
+    obs = fabric.attach_observer(window_ns=5_000.0,
+                                 samples_per_window=samples_per_window)
+    sim, reg = fabric.sim, obs.registry
+    if late_metrics:
+        # a component that registers its metrics mid-run (mid-window,
+        # between two ticks): one counter, one level gauge and one
+        # cumulative-suffix gauge, with names that sort into the middle
+        # of the registry
+        state = {"n": 0}
+
+        def bump():
+            state["n"] += 3
+            reg.counter("fabric.late.counter").inc(2.0)
+
+        def register():
+            reg.gauge("nic.0.late_level", fn=lambda: float(state["n"] % 7))
+            reg.gauge("nic.0.late.tx_bytes", fn=lambda: float(state["n"]))
+            bump()
+
+        sim.schedule_at(12_345.0, register)
+        for k in range(1, 20):
+            sim.schedule_at(12_345.0 + 3_100.0 * k, bump)
+    rng = random.Random(3)
+    n = fabric.topology.n_nodes
+    for _ in range(60):
+        src = rng.randrange(n)
+        dst = (src + 1 + rng.randrange(n - 1)) % n
+        sim.schedule_at(rng.uniform(0.0, 60_000.0),
+                        lambda s=src, d=dst: fabric.send(s, d, 16 * KiB))
+    sim.run()
+    obs.stop()
+    return fabric, obs
+
+
+_GOLDEN_WINDOWS = {
+    (1, False): "ecaf7de8f7ec2d10",
+    (4, False): "dc3b1461e4819df4",
+    (4, True): "ddb0690054ef892f",
+}
+
+
+@pytest.mark.parametrize("samples_per_window,late_metrics",
+                         sorted(_GOLDEN_WINDOWS))
+def test_window_series_matches_golden_digest(samples_per_window, late_metrics):
+    fabric, obs = _faulted_cell(samples_per_window, late_metrics)
+    windows = list(obs.windows)
+    # the cell really is faulted, retransmits, and spans many windows
+    assert fabric.fault_injector.events_applied > 0
+    assert sum(w.deltas.get("faults.retransmits", 0.0) for w in windows) > 0
+    assert len(windows) > 20
+    if late_metrics:
+        late = [w for w in windows if "fabric.late.counter" in w.deltas]
+        assert late and "nic.0.late_level" in late[0].levels
+        assert sum(w.deltas["fabric.late.counter"] for w in late) == 40.0
+        assert sum(w.deltas["nic.0.late.tx_bytes"] for w in late) == 60.0
+    assert _window_digest(windows) == _GOLDEN_WINDOWS[
+        (samples_per_window, late_metrics)]

@@ -1,5 +1,6 @@
 """Tests for the unified telemetry subsystem (repro.telemetry)."""
 
+import hashlib
 import json
 import math
 
@@ -59,6 +60,22 @@ def test_registry_snapshot_evaluates_gauges():
     assert reg.snapshot()["g"] == 1.0
     level["v"] = 9.0
     assert reg.snapshot()["g"] == 9.0
+
+
+def test_registry_snapshot_order_survives_late_registration():
+    reg = TelemetryRegistry()
+    reg.counter("c").inc(3)
+    reg.gauge("a", fn=lambda: 1.0)
+    assert list(reg.snapshot().items()) == [("a", 1.0), ("c", 3.0)]
+    # a name that sorts between the two, registered after a snapshot
+    reg.histogram("b").observe(10.0)
+    assert list(reg.snapshot().items()) == [("a", 1.0), ("b", 1.0), ("c", 3.0)]
+    # create-or-get of an existing name leaves the order as it was
+    reg.counter("c").inc(1)
+    reg.gauge("zz").set(2.0)
+    assert list(reg.snapshot().items()) == [
+        ("a", 1.0), ("b", 1.0), ("c", 4.0), ("zz", 2.0)]
+    assert reg.names() == ["a", "b", "c", "zz"]
 
 
 def test_histogram_log_bins_and_percentiles():
@@ -261,6 +278,32 @@ def traced_run():
     fabric.send(0, 79, 16 * KiB)
     fabric.sim.run()
     return fabric, telem
+
+
+#: sha256 prefix of the traced run's JSONL span stream, recorded when
+#: span events were built with a dict literal plus ``dict.update``; the
+#: stream must stay byte-identical (key order and values)
+_GOLDEN_SPANS_JSONL = "6a0e297132351f5c"
+
+
+def test_fabric_spans_jsonl_is_byte_identical(traced_run):
+    _, telem = traced_run
+    assert len(telem.spans) > 1_000
+    # packet and message ids come from process-wide counters, so they
+    # depend on what ran earlier in the process: count them from the
+    # run's first packet and message
+    events = telem.spans.events
+    pid0 = min(e["pid"] for e in events)
+    mid0 = min(e["mid"] for e in events if "mid" in e)
+    rebased = SpanRecorder()
+    rebased.events = [
+        dict(e, pid=e["pid"] - pid0, **({"mid": e["mid"] - mid0}
+                                         if "mid" in e else {}))
+        for e in events
+    ]
+    text = spans_to_jsonl(rebased)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == _GOLDEN_SPANS_JSONL
 
 
 def test_fabric_spans_cover_all_layers(traced_run):

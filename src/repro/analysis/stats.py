@@ -26,6 +26,7 @@ __all__ = [
     "summarize",
     "percentile",
     "percentiles",
+    "column_percentiles",
     "quartile_whiskers",
 ]
 
@@ -142,6 +143,18 @@ def percentiles(
         return {q: float("nan") for q in qs}
     vals = np.percentile(a, list(qs))
     return {q: float(v) for q, v in zip(qs, vals)}
+
+
+def column_percentiles(
+    rows: Sequence[Sequence[float]], qs: Sequence[float] = (50, 95, 99)
+) -> List[Dict[float, float]]:
+    """:func:`percentiles` of every column of a non-empty n x m table,
+    in one numpy call; entry *j* equals ``percentiles(column j, qs)``."""
+    vals = np.percentile(np.asarray(rows, dtype=float), list(qs), axis=0)
+    return [
+        {q: float(vals[k, j]) for k, q in enumerate(qs)}
+        for j in range(vals.shape[1])
+    ]
 
 
 def quartile_whiskers(samples: Sequence[float]) -> Dict[str, float]:

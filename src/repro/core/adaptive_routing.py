@@ -182,22 +182,16 @@ class AdaptiveRouter:
     @staticmethod
     def _least_loaded(ports) -> "object":
         # Port scores are read through the congestion_score cache's fast
-        # branch (valid entry, no burst in flight) without the method
-        # call; any other state falls back to the full recompute, so the
-        # value is always exactly what congestion_score() returns.
+        # branch (valid entry) without the method call; a stale entry
+        # falls back to the full recompute, so the value is always
+        # exactly what congestion_score() returns.
         best = ports[0]
         best_score = (
-            best._score_val
-            if best._score_ok and best._burst is None
-            else best.congestion_score()
+            best._score_val if best._score_ok else best.congestion_score()
         )
         for i in range(1, len(ports)):
             p = ports[i]
-            s = (
-                p._score_val
-                if p._score_ok and p._burst is None
-                else p.congestion_score()
-            )
+            s = p._score_val if p._score_ok else p.congestion_score()
             if s < best_score:
                 best, best_score = p, s
         return best
@@ -224,9 +218,7 @@ class AdaptiveRouter:
         for cand in candidates:
             port, nonmin, _inter = cand
             score = (
-                port._score_val
-                if port._score_ok and port._burst is None
-                else port.congestion_score()
+                port._score_val if port._score_ok else port.congestion_score()
             )
             if nonmin:
                 score = (

@@ -19,12 +19,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.adaptive_routing import AdaptiveRouter
 from ..core.congestion_control import CongestionControl, make_cc
-from ..core.traffic_classes import TrafficClass, default_traffic_classes
+from ..core.traffic_classes import (
+    TrafficClass,
+    default_traffic_classes,
+    validate_classes,
+)
 from ..sim import Event, Simulator
 from ..sim.rng import stable_hash
 from .dragonfly import DragonflyParams, DragonflyTopology
 from .nic import NIC, ReferenceNIC
-from .packet import ROCE_HEADER_BYTES, Message, drain_packet_pool
+from .packet import ROCE_HEADER_BYTES, Message
 from .switch import OutputPort, ReferenceOutputPort, Switch
 from .units import KiB, gbps
 
@@ -132,17 +136,6 @@ class FabricConfig:
     #: each wire its own dedicated ``LinkSpec.buffer_bytes``.
     shared_switch_buffers: bool = False
     switch_buffer_bytes: float = 256 * KiB
-    #: busy-period batching on eligible output ports: burst wire events
-    #: are computed arithmetically instead of one heap event per packet.
-    #: Per-packet timestamps are bit-identical, but pre-scheduling a
-    #: burst's events changes *same-timestamp tie ordering* against
-    #: events scheduled later by other ports, which can steer adaptive
-    #: routing differently under heavy congestion.  Off by default to
-    #: keep the bit-identity contract with earlier releases; sweeps and
-    #: benchmarks opt in for the throughput win.  (Also disabled
-    #: automatically wherever it would be observable: marking host
-    #: ports, shared pools, LLR, telemetry, fault injection.)
-    burst_batching: bool = False
     #: allocation-free NIC/port delivery path (the default).  False swaps
     #: in ReferenceNIC/ReferenceOutputPort — the straight-line executable
     #: spec, bit-identical event-for-event (pinned by
@@ -150,8 +143,9 @@ class FabricConfig:
     #: differential debugging of the hot path.
     delivery_fast_path: bool = True
     #: event-queue implementation for the fabric's simulator: "calendar"
-    #: (amortized O(1) scheduling, the default) or "heap" (the binary-heap
-    #: reference).  Dispatch order is bit-identical either way, pinned by
+    #: (the default, a time-bucketed queue: O(1) per same-time push,
+    #: O(log T) per new timestamp) or "heap" (the binary-heap reference).
+    #: Dispatch order is bit-identical either way, pinned by
     #: tests/test_event_queue_equivalence.py.
     queue: str = "calendar"
     #: return dead packets (acked, or dropped unobserved) to the module
@@ -160,11 +154,6 @@ class FabricConfig:
     #: wherever an observer (telemetry, auditor, reliability layer) could
     #: hold a reference past the packet's death.
     recycle_packets: bool = True
-    #: run-loop GC policy for the fabric's simulator: None leaves the
-    #: collector alone; "disable" switches it off during sim.run();
-    #: "freeze" additionally moves the wired fabric into the permanent
-    #: generation first.  Prior collector state is restored on exit.
-    gc_policy: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -179,6 +168,9 @@ class FabricConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name} cannot be negative, got {value!r}")
+        if not self.classes:
+            raise ValueError("classes must name at least one traffic class")
+        validate_classes(self.classes)
 
     def build(self, sim: Optional[Simulator] = None) -> "Fabric":
         return Fabric(self, sim)
@@ -194,8 +186,6 @@ class Fabric:
     def __init__(self, config: FabricConfig, sim: Optional[Simulator] = None):
         self.config = config
         self.sim = sim if sim is not None else Simulator(queue=config.queue)
-        if config.gc_policy is not None:
-            self.sim.gc_policy = config.gc_policy
         self.topology = DragonflyTopology(config.params)
         router_factory = config.router_factory or (
             lambda topo, seed: AdaptiveRouter(topo, seed)
@@ -236,14 +226,13 @@ class Fabric:
         if config.recycle_packets:
             # Dead-packet recycling: drops with no observer return the
             # packet to the free-list (the ack-path return lives in
-            # NIC.on_ack), and the pool is registered as a drain hook so
-            # an aborted run cannot leak it across runs of one process.
+            # NIC.on_ack).  Pooled packets hold no fabric references and
+            # are re-initialized on reuse, so the pool may outlive a run.
             for sw in self.switches:
                 for port in sw.all_ports():
                     port.recycle_drops = True
             for nic in self.nics:
                 nic.out_port.recycle_drops = True
-            self.sim.register_free_list(drain_packet_pool)
         self.messages_sent = 0
         self.messages_completed = 0
         #: the attached FaultInjector, if any (set by repro.faults)
@@ -301,7 +290,6 @@ class Fabric:
             replay_latency=spec.replay_latency_ns,
             seed=self.config.seed,
         )
-        port.batching = self.config.burst_batching and port._batch_ok
         return port
 
     def _register_link(self, key, kind, ports, spec, *switches) -> None:

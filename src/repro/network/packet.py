@@ -74,9 +74,9 @@ def recycle_packet(pkt: "Packet") -> None:
 def drain_packet_pool() -> int:
     """Empty the free-list; returns how many packets were discarded.
 
-    Registered with each fabric's simulator as a free-list drain hook so
-    an aborted run (stall, handler exception) in a reused worker process
-    cannot leak pooled objects into the next run's accounting.
+    Pooled packets hold no fabric references and are re-initialized on
+    reuse, so draining never changes a run; callers that measure memory
+    (or want a cold pool) drain between runs.
     """
     n = len(_pool)
     _pool.clear()

@@ -41,7 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..analysis.stats import percentiles
+import numpy as np
+
+from ..analysis.stats import column_percentiles
 from ..analysis.reporting import render_table
 
 __all__ = [
@@ -204,10 +206,14 @@ def _aggregate(budgets: Sequence[PacketBudget]) -> StageAggregate:
     means = {
         s: sum(b.stages.get(s, 0.0) for b in budgets) / n for s in STAGES
     }
-    pcts = {
-        s: percentiles([b.stages.get(s, 0.0) for b in budgets], (50, 95, 99))
-        for s in STAGES
-    }
+    # Filled row by row: a list-of-lists table would hold every stage
+    # value as a Python float at once (about 1 MB more peak memory on a
+    # 4,000-packet run).
+    table = np.empty((n, len(STAGES)))
+    for i, b in enumerate(budgets):
+        get = b.stages.get
+        table[i] = [get(s, 0.0) for s in STAGES]
+    pcts = dict(zip(STAGES, column_percentiles(table, (50, 95, 99))))
     return StageAggregate(n, sum(totals) / n, means, pcts)
 
 

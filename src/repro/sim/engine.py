@@ -57,19 +57,15 @@ exists in heap mode, and no code outside this module may touch ``_seq``
 or the queue containers (grep for ``sim._seq`` / ``sim._queue`` must come
 up empty outside ``repro.sim``).
 
-Run loops are GC-aware on request: :attr:`Simulator.gc_policy` =
-``"disable"`` turns the cyclic collector off for the duration of
-:meth:`Simulator.run` (``"freeze"`` additionally moves the wired fabric
-into the permanent generation), restoring the collector's prior state on
-exit — including stall/exception exits, which also drain any registered
-free-lists so pooled objects never leak across runs in a reused worker
-process.
+:meth:`Simulator.run` picks one of five loop variants once per call —
+the queue kind, and whether an event hook or a watchdog is attached —
+so the default (time-bucketed, unhooked, unguarded) loop carries no
+per-event instrumentation test.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gc as _gc
 import time
 from heapq import heapify, heappop, heappush
 from operator import length_hint
@@ -381,8 +377,6 @@ class Simulator:
         "event_hook",
         "_watchdog",
         "stall_diagnostics",
-        "_gc_policy",
-        "_drain_hooks",
     )
 
     def __init__(self, queue: str = "calendar"):
@@ -426,15 +420,6 @@ class Simulator:
         #: snapshot, attached to any SimStall this simulator raises.  The
         #: fabric registers its quiescence_snapshot here at build time.
         self.stall_diagnostics: Optional[Callable[[], Dict[str, Any]]] = None
-        #: run-loop GC policy: None (leave the collector alone),
-        #: "disable" (gc.disable() for the duration of run()), or
-        #: "freeze" (additionally gc.freeze() the current heap).  The
-        #: collector's prior enabled state is restored on every exit path.
-        self._gc_policy: Optional[str] = None
-        #: free-list drain callables (register_free_list); invoked when a
-        #: run() escapes with an exception so pooled objects never leak
-        #: across runs in a reused worker process.
-        self._drain_hooks: List[Callable[[], Any]] = []
 
     # -- queue configuration ----------------------------------------------
 
@@ -442,37 +427,6 @@ class Simulator:
     def queue_kind(self) -> str:
         """``"calendar"`` or ``"heap"`` — which implementation runs."""
         return "heap" if self._heapmode else "calendar"
-
-    @property
-    def gc_policy(self) -> Optional[str]:
-        return self._gc_policy
-
-    @gc_policy.setter
-    def gc_policy(self, value: Optional[str]) -> None:
-        if value not in (None, "disable", "freeze"):
-            raise ValueError(
-                f"unknown gc_policy {value!r} (None|'disable'|'freeze')"
-            )
-        self._gc_policy = value
-
-    def register_free_list(self, drain: Callable[[], Any]) -> None:
-        """Register a zero-arg callable that empties an object pool.
-
-        Drains run when :meth:`run` exits with an exception (stall,
-        handler error) so recycled objects are never carried into a later
-        run of a reused process, and on :meth:`drain_free_lists`.
-        Registering the same callable twice is a no-op.
-        """
-        if drain not in self._drain_hooks:
-            self._drain_hooks.append(drain)
-
-    def drain_free_lists(self) -> None:
-        """Invoke every registered free-list drain (errors suppressed)."""
-        for drain in self._drain_hooks:
-            try:
-                drain()
-            except Exception:
-                pass
 
     # -- scheduling -------------------------------------------------------
 
@@ -520,21 +474,6 @@ class Simulator:
                 )
             delay = 0.0
         self.push(self.now + delay, fn, args)
-
-    def schedule_abs(self, when: float, fn: Callable, *args: Any) -> None:
-        """Like :meth:`schedule_at`, but enqueues at *exactly* ``when``.
-
-        ``schedule_at`` computes ``now + (when - now)``, which need not
-        round-trip in floating point.  Burst batching precomputes event
-        times arithmetically and needs them bit-exact on the queue.
-        """
-        if when < self.now:
-            if when < self.now - _NEGATIVE_DRIFT_NS:
-                raise ValueError(
-                    f"cannot schedule in the past (when={when} < now={self.now})"
-                )
-            when = self.now
-        self.push(when, fn, args)
 
     def schedule_cancellable(
         self, delay: float, fn: Callable, *args: Any
@@ -663,33 +602,8 @@ class Simulator:
 
         When *until* is given, ``now`` is advanced to exactly *until* even
         if the queue drains earlier, matching SimPy semantics.
-
-        With :attr:`gc_policy` set, the cyclic collector is disabled (and
-        under ``"freeze"`` the pre-run heap is frozen) for the duration;
-        its prior enabled state is restored on every exit path, and a
-        raising exit drains registered free-lists first.
         """
-        if self._gc_policy is None:
-            return self._run_dispatch(until)
-        was_enabled = _gc.isenabled()
-        _gc.disable()
-        frozen = False
-        if self._gc_policy == "freeze":
-            _gc.freeze()
-            frozen = True
-        try:
-            return self._run_dispatch(until)
-        except BaseException:
-            self.drain_free_lists()
-            raise
-        finally:
-            if frozen:
-                _gc.unfreeze()
-            if was_enabled:
-                _gc.enable()
-
-    def _run_dispatch(self, until: Optional[float]) -> None:
-        """Route to the loop variant for this queue kind / hook / guard."""
+        # Route to the loop variant for this queue kind / hook / guard.
         if not self._heapmode:
             if self._watchdog is None and self.event_hook is None:
                 return self._run_calendar(until)

@@ -184,12 +184,3 @@ def test_fast_path_matches_reference_aries_shared_buffers():
     )
     _assert_equivalent(cfg, 11, traffic=_incast)
 
-
-def test_fast_path_matches_reference_burst_batching():
-    """Batching ports must take the general path on both implementations."""
-    cfg = slingshot_config(
-        DragonflyParams(2, 3, 3, links_per_pair=2),
-        seed=3,
-        burst_batching=True,
-    )
-    _assert_equivalent(cfg, 3)

@@ -4,7 +4,7 @@ The calendar queue (``Simulator(queue="calendar")``, the default) keeps
 one FIFO list per pending timestamp plus a heap of the distinct times;
 the binary heap (``queue="heap"``) is the retained reference.  None of
 that may be *observable*: across random operation interleavings
-(schedule / schedule_at / schedule_abs / cancellable timers / cancel /
+(schedule / schedule_at / push / cancellable timers / cancel /
 re-arm, same-tick ties, negative-drift clamps), across the bucket
 regimes (one huge timestamp, one entry per timestamp, pushes at ``now``
 mid-bucket, stops, watchdog trips and compaction mid-bucket) and across
@@ -93,7 +93,7 @@ def _drive(sim, ops, budget):
         elif kind == 1:
             sim.schedule_at(delay, fire, i)
         elif kind == 2:
-            sim.schedule_abs(delay, fire, i)
+            sim.push(delay, fire, (i,))
         else:
             handles.append(sim.schedule_cancellable(delay, fire, i))
     sim.run()

@@ -8,6 +8,7 @@ acceptance criterion holds — stage means sum to the mean latency within
 
 import random
 
+from repro.analysis.stats import percentiles
 from repro.network.units import KiB
 from repro.observe import (
     STAGES,
@@ -151,6 +152,36 @@ def test_real_run_stage_budgets_sum_within_1ns():
     for stage in ("host_inject", "voq_wait", "wire", "switch"):
         assert means[stage] > 0.0, stage
     assert set(means) == set(STAGES)
+
+
+def test_stage_percentiles_match_per_stage_percentiles():
+    """The aggregate takes all stages' percentiles in one call; each value
+    must equal the per-stage computation exactly, and the means must stay
+    the plain per-stage sums."""
+    fabric = malbec_mini().build()
+    obs = fabric.attach_observer()
+    rng = random.Random(11)
+    n = fabric.topology.n_nodes
+    for _ in range(48):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            fabric.send(a, b, rng.choice([8, 4 * KiB, 20 * KiB]))
+    fabric.sim.run()
+    obs.stop()
+    budgets = attribute_packets(obs.spans)
+    rep = attribution_report(budgets)
+    groups = [(rep.overall, budgets)]
+    for key, agg in rep.per_flow.items():
+        groups.append((agg, [b for b in budgets if b.flow == key]))
+    for tc, agg in rep.per_tc.items():
+        groups.append((agg, [b for b in budgets if b.tc == tc]))
+    assert len(groups) > 2
+    for agg, group in groups:
+        assert agg.n == len(group) > 0
+        for s in STAGES:
+            col = [b.stages.get(s, 0.0) for b in group]
+            assert agg.stage_percentiles[s] == percentiles(col, (50, 95, 99))
+            assert agg.stage_means_ns[s] == sum(col) / len(col)
 
 
 def test_unsampled_and_undelivered_packets_are_skipped():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.traffic_classes import TrafficClass
 from repro.network.fabric import FabricConfig, LinkSpec
 from repro.network.units import (
     KiB,
@@ -60,6 +61,22 @@ def test_fabricconfig_rejects_invalid_values(field, value):
         FabricConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         FabricConfig().with_(**{field: value})
+
+
+def test_fabricconfig_rejects_empty_classes():
+    # used to build and crash with IndexError inside OutputPort.__init__
+    with pytest.raises(ValueError, match="classes"):
+        FabricConfig(classes=[])
+    with pytest.raises(ValueError, match="classes"):
+        FabricConfig().with_(classes=[])
+
+
+def test_fabricconfig_validates_class_guarantees():
+    over = [TrafficClass(min_share=0.6), TrafficClass(min_share=0.6)]
+    with pytest.raises(ValueError, match="guarantees"):
+        FabricConfig(classes=over)
+    with pytest.raises(ValueError, match="guarantees"):
+        FabricConfig().with_(classes=over)
 
 
 def test_fabricconfig_accepts_zero_latency_and_overheads():
